@@ -7,8 +7,10 @@
    the same entry point serves full compiles (old = None), incremental
    updates (old = the pre-update design) and the [rp4c check] CLI. The
    symbolic pass additionally accepts the device's live table contents
-   ([?tables]) to sharpen feasibility with real entries, and a telemetry
-   registry ([?telemetry]) to account findings and per-pass latency. *)
+   ([?tables]) to sharpen feasibility with real entries, a telemetry
+   registry ([?telemetry]) to account findings and per-pass latency, and
+   an [?on_symexec] callback that receives the symbolic result so a
+   caller can reuse it (the session's blast radius). *)
 
 (* Per-pass wall-clock, in microseconds, into the registry's
    [analysis.pass_duration_us{pass=...}] histogram. *)
@@ -41,8 +43,8 @@ let count_findings ?telemetry diags =
     count "error" (List.length (Diag.errors diags));
     count "warning" (List.length (Diag.warnings diags))
 
-let analyze ?telemetry ?tables ?old ~(design : Rp4bc.Design.t)
-    ~(patch : Ipsa.Config.t) () : Diag.t list =
+let analyze ?telemetry ?tables ?old ?(on_symexec = ignore)
+    ~(design : Rp4bc.Design.t) ~(patch : Ipsa.Config.t) () : Diag.t list =
   let env = design.Rp4bc.Design.env in
   let diags =
     timed ?telemetry ~pass:"parsecheck" (fun () ->
@@ -54,7 +56,9 @@ let analyze ?telemetry ?tables ?old ~(design : Rp4bc.Design.t)
     @ timed ?telemetry ~pass:"updatecheck" (fun () ->
           Updatecheck.audit ~old ~design ~patch)
     @ timed ?telemetry ~pass:"symexec" (fun () ->
-          (Symexec.run ?tables design).Symexec.r_diags)
+          let res = Symexec.run ?tables design in
+          on_symexec res;
+          res.Symexec.r_diags)
   in
   count_findings ?telemetry diags;
   diags
@@ -65,19 +69,19 @@ let symbolic ?telemetry ?tables (design : Rp4bc.Design.t) : Symexec.result =
 
 (* Blast radius of an incremental update (the [--impact] surface and
    the session/fleet patch gate). *)
-let impact ?telemetry ?tables ?old_tables ~(old_design : Rp4bc.Design.t)
-    ~(design : Rp4bc.Design.t) () : Impact.report =
+let impact ?telemetry ?new_result ?tables ?old_tables
+    ~(old_design : Rp4bc.Design.t) ~(design : Rp4bc.Design.t) () : Impact.report =
   timed ?telemetry ~pass:"impact" (fun () ->
-      Impact.analyze ?tables ?old_tables ~old_design ~design ())
+      Impact.analyze ?new_result ?tables ?old_tables ~old_design ~design ())
 
 (* The hook [Rp4bc.Compile] calls when a verifier is supplied: errors
    abort the compile, warnings ride along in the result. Partial
    application ([verifier], [verifier ~telemetry:tel ~tables:f]) yields
    the [Rp4bc.Compile.verifier] closure. *)
-let verifier ?telemetry ?tables (vi : Rp4bc.Compile.verify_input) :
+let verifier ?telemetry ?tables ?on_symexec (vi : Rp4bc.Compile.verify_input) :
     Rp4bc.Compile.verdict =
   let diags =
-    analyze ?telemetry ?tables ?old:vi.Rp4bc.Compile.vi_old
+    analyze ?telemetry ?tables ?old:vi.Rp4bc.Compile.vi_old ?on_symexec
       ~design:vi.Rp4bc.Compile.vi_design ~patch:vi.Rp4bc.Compile.vi_patch ()
   in
   {

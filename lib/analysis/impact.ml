@@ -98,12 +98,18 @@ let diff ~(old_design : Rp4bc.Design.t) ~(design : Rp4bc.Design.t) =
 (* Radius construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?tables ?old_tables ~(old_design : Rp4bc.Design.t)
+(* [new_result], when given, must be [Symexec.run ?tables design]: a
+   caller that has already executed the new design (the verifier, during
+   the compile) hands its result over instead of paying for a second run.
+   The old design is always re-executed against [old_tables]. *)
+let analyze ?new_result ?tables ?old_tables ~(old_design : Rp4bc.Design.t)
     ~(design : Rp4bc.Design.t) () : report =
   let added, removed, edited, edited_decl, t_added, t_removed =
     diff ~old_design ~design
   in
-  let new_res = Symexec.run ?tables design in
+  let new_res =
+    match new_result with Some r -> r | None -> Symexec.run ?tables design
+  in
   let old_res = Symexec.run ?tables:old_tables old_design in
   let classes_of res design_tag stages =
     List.concat_map

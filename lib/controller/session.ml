@@ -50,10 +50,20 @@ let now_ns () = 1e9 *. Unix.gettimeofday ()
    kept for the operator. The verifier shares the device's telemetry
    registry (analysis.findings / analysis.pass_duration_us) and sharpens
    table feasibility with the device's live entries. *)
-let verify_for device =
+let verify_for ?on_symexec device =
   Analysis.Check.verifier
     ~telemetry:(Ipsa.Device.telemetry device)
     ~tables:(Ipsa.Device.find_table device)
+    ?on_symexec
+
+(* Run one incremental compile under the verifier and keep the verifier's
+   symbolic run of the new design with the result, for [compute_impact]
+   to reuse. Nothing touches the device's tables in between, so it is
+   exactly the run the blast radius would otherwise repeat. *)
+let verified_compile device compile =
+  let symexec = ref None in
+  let verify = verify_for ~on_symexec:(fun r -> symexec := Some r) device in
+  Result.map (fun r -> (r, !symexec)) (compile verify)
 
 let make_instruments tel =
   {
@@ -149,11 +159,12 @@ let protected_prefixes t = t.protected_prefixes
 let last_impact t = t.last_impact
 
 (* Symbolic blast radius of moving the session from [old_design] to
-   [design], sharpened with the device's live table contents. *)
-let compute_impact t ~old_design ~design =
+   [design], sharpened with the device's live table contents. [symexec]
+   is the verifier's run over [design], when the compile kept one. *)
+let compute_impact t ~symexec ~old_design ~design =
   let tables = Ipsa.Device.find_table t.device in
-  Analysis.Check.impact ~telemetry:(metrics t) ~tables ~old_tables:tables
-    ~old_design ~design ()
+  Analysis.Check.impact ~telemetry:(metrics t) ?new_result:symexec ~tables
+    ~old_tables:tables ~old_design ~design ()
 
 (* The gate itself: refuse the update when its radius intersects any
    protected prefix. The report is recorded either way. *)
@@ -227,19 +238,21 @@ type prepared = {
   pre_impact : Analysis.Impact.report; (* blast radius vs. [pre_base] *)
 }
 
-let compile_pending t : (Rp4bc.Compile.result_t, string list) result =
+let compile_pending t =
   match t.pending_load with
   | Some (func_name, snippet) ->
-    Rp4bc.Compile.insert_function ~verify:(verify_for t.device) t.design ~snippet
-      ~func_name ~cmds:t.pending_cmds ~algo:t.algo ~pool:(Ipsa.Device.pool t.device)
+    verified_compile t.device (fun verify ->
+        Rp4bc.Compile.insert_function ~verify t.design ~snippet ~func_name
+          ~cmds:t.pending_cmds ~algo:t.algo ~pool:(Ipsa.Device.pool t.device))
   | None -> (
     (* Pure link edits without a new function. *)
     match t.pending_cmds with
     | [] -> Error [ "commit: nothing pending" ]
     | cmds ->
-      Rp4bc.Compile.insert_function ~verify:(verify_for t.device) t.design
-        ~snippet:Rp4.Ast.empty_program ~func_name:"__links__" ~cmds ~algo:t.algo
-        ~pool:(Ipsa.Device.pool t.device))
+      verified_compile t.device (fun verify ->
+          Rp4bc.Compile.insert_function ~verify t.design
+            ~snippet:Rp4.Ast.empty_program ~func_name:"__links__" ~cmds ~algo:t.algo
+            ~pool:(Ipsa.Device.pool t.device)))
 
 (* Drop the staged (uncommitted) transaction: the escape hatch a
    dry-run consumer (the service's [check] endpoint) uses after a
@@ -259,10 +272,11 @@ let prepare t : (prepared, string list) result =
   let start = now_ns () in
   match compile_pending t with
   | Error errs -> Error errs
-  | Ok result ->
+  | Ok (result, symexec) ->
     note_compile t.instr result.Rp4bc.Compile.warnings;
     let impact =
-      compute_impact t ~old_design:t.design ~design:result.Rp4bc.Compile.design
+      compute_impact t ~symexec ~old_design:t.design
+        ~design:result.Rp4bc.Compile.design
     in
     t.last_impact <- Some impact;
     t.pending_load <- None;
@@ -285,11 +299,7 @@ let apply_prepared t (p : prepared) : (timing, string list) result =
     | Error errs -> Error errs
     | Ok () ->
     let load_start = now_ns () in
-    match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages p.pre_impact)
-        t.device p.pre_result.Rp4bc.Compile.patch
-    with
+    match Ipsa.Device.apply_patch t.device p.pre_result.Rp4bc.Compile.patch with
     | Error e -> Error [ e ]
     | Ok report ->
       note_patch t.instr p.pre_result.Rp4bc.Compile.patch;
@@ -310,24 +320,20 @@ let apply_prepared t (p : prepared) : (timing, string list) result =
 (* Compile the pending transaction and push it to the device. *)
 let commit t : (timing, string list) result =
   let start = now_ns () in
-  let compiled = compile_pending t in
-  match compiled with
+  match compile_pending t with
   | Error errs -> Error errs
-  | Ok result -> (
+  | Ok (result, symexec) -> (
     note_compile t.instr result.Rp4bc.Compile.warnings;
     let compile_ns = now_ns () -. start in
     let impact =
-      compute_impact t ~old_design:t.design ~design:result.Rp4bc.Compile.design
+      compute_impact t ~symexec ~old_design:t.design
+        ~design:result.Rp4bc.Compile.design
     in
     match gate_impact t impact with
     | Error errs -> Error errs
     | Ok () ->
     let load_start = now_ns () in
-    match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages impact)
-        t.device result.Rp4bc.Compile.patch
-    with
+    match Ipsa.Device.apply_patch t.device result.Rp4bc.Compile.patch with
     | Error e -> Error [ e ]
     | Ok report ->
       note_patch t.instr result.Rp4bc.Compile.patch;
@@ -349,25 +355,23 @@ let commit t : (timing, string list) result =
 let unload t ~func_name : (timing, string list) result =
   let start = now_ns () in
   match
-    Rp4bc.Compile.delete_function ~verify:(verify_for t.device) t.design ~func_name
-      ~algo:t.algo ~pool:(Ipsa.Device.pool t.device)
+    verified_compile t.device (fun verify ->
+        Rp4bc.Compile.delete_function ~verify t.design ~func_name ~algo:t.algo
+          ~pool:(Ipsa.Device.pool t.device))
   with
   | Error errs -> Error errs
-  | Ok result -> (
+  | Ok (result, symexec) -> (
     note_compile t.instr result.Rp4bc.Compile.warnings;
     let compile_ns = now_ns () -. start in
     let impact =
-      compute_impact t ~old_design:t.design ~design:result.Rp4bc.Compile.design
+      compute_impact t ~symexec ~old_design:t.design
+        ~design:result.Rp4bc.Compile.design
     in
     match gate_impact t impact with
     | Error errs -> Error errs
     | Ok () ->
     let load_start = now_ns () in
-    match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages impact)
-        t.device result.Rp4bc.Compile.patch
-    with
+    match Ipsa.Device.apply_patch t.device result.Rp4bc.Compile.patch with
     | Error e -> Error [ e ]
     | Ok report ->
       note_patch t.instr result.Rp4bc.Compile.patch;

@@ -13,7 +13,6 @@ type slot = {
   mutable flat : Flat.prog option; (* zero-alloc form; [None] = outside subset *)
   mutable powered : bool; (* false = bypassed, low-power state *)
   mutable packets : int; (* packets this TSP actively processed *)
-  mutable stamp : int; (* bumped per template (re)write; caches key on it *)
 }
 
 let make id =
@@ -24,18 +23,14 @@ let make id =
     flat = None;
     powered = false;
     packets = 0;
-    stamp = 0;
   }
 
 (* Loading a new template invalidates any linked program; the device
-   re-links after the configuration patch completes. The stamp lets
-   derived caches (the FDD stage memo) distinguish "same slot, new
-   template" from an untouched slot without comparing template bodies. *)
+   re-links after the configuration patch completes. *)
 let load slot template =
   slot.template <- template;
   slot.linked <- None;
   slot.flat <- None;
-  slot.stamp <- slot.stamp + 1;
   slot.powered <- template <> None
 
 (* Environment the TSP needs from the device: header linkage for parsing,

@@ -35,7 +35,6 @@
 (* This file doubles as the library's root module (it shares the library
    name), so the sibling modules are re-exported here. *)
 module Key = Key
-module Lpm_trie = Lpm_trie
 module Tcam = Tcam
 module Engine = Engine
 
@@ -62,7 +61,6 @@ let entry_count t = List.length t.eng.Engine.entries
 let capacity t = t.spec.size
 let entries t = List.rev t.eng.Engine.entries
 let stats t = (t.eng.Engine.lookups, t.eng.Engine.hits)
-let generation t = t.eng.Engine.generation
 let engine t = t.eng
 
 let create spec =

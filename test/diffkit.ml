@@ -1,6 +1,6 @@
 (* Shared differential-testing kit.
 
-   The linked, flat, fdd and symdiff suites all prove the same shape of
+   The linked, flat, virt and symdiff suites all prove the same shape of
    theorem — "two executions of the same pipeline agree on everything a
    packet traversal can observably produce" — and they used to each carry
    a private copy of the traffic generators and the device-twin plumbing.
@@ -8,11 +8,10 @@
 
    - the random packet builders ([build_packet] for the use-case spread,
      [mixed_packet] for the deterministic radius stream);
-   - device-twin boot helpers ([boot_pair] / [boot_triple] / [boot_quad]);
+   - device-twin boot helpers ([boot_pair] / [boot_triple]);
    - one observation type covering egress port, metadata bindings, wire
      bytes and cycle/lookup/parse accounting, with [observe] (context
-     path), [observe_flat] (batched flat path) and [observe_fdd]
-     (decision-diagram path) producing it;
+     path) and [observe_flat] (batched flat path) producing it;
    - [assert_same_forwarding], the field-by-field comparison used by
      unit tests (QCheck properties compare observations structurally);
    - [to_alcotest], which threads a deterministic QCheck seed: runs are
@@ -101,12 +100,6 @@ let boot_triple case =
   let _, dev_i = boot ~linked:false case in
   (dev_f, dev_l, dev_i)
 
-(* fdd / flat / linked / interpreter quad for the four-way property. *)
-let boot_quad case =
-  let _, dev_d = boot case in
-  let dev_f, dev_l, dev_i = boot_triple case in
-  (dev_d, dev_f, dev_l, dev_i)
-
 (* --- virtualization twins ------------------------------------------------ *)
 
 (* Tier every table at [pct]% of its current entry count. Resolution
@@ -121,19 +114,6 @@ let virtualize_all device ~pct =
       | Some tb ->
         Table.virtualize tb ~capacity:(max 1 (Table.entry_count tb * pct / 100)))
     (Ipsa.Device.table_names device)
-
-(* Virtualized twin of [boot_quad]: all four paths resolve through the
-   same engine tier, so driven with the same packet sequence they must
-   stay in exact lockstep with each other (including the modeled
-   escalation penalty) and agree with a fully-resident twin on
-   everything but timing. *)
-let boot_virt_quad ?(pct = 25) case =
-  let ((dev_d, dev_f, dev_l, dev_i) as q) = boot_quad case in
-  virtualize_all dev_d ~pct;
-  virtualize_all dev_f ~pct;
-  virtualize_all dev_l ~pct;
-  virtualize_all dev_i ~pct;
-  q
 
 (* --- observations ------------------------------------------------------- *)
 
@@ -161,19 +141,6 @@ let observe device bytes ~in_port : observation =
 let observe_flat device bytes ~in_port : observation =
   let pkt = Net.Packet.create ~in_port bytes in
   match Ipsa.Device.inject_batch device [| pkt |] with
-  | [| Some r |] ->
-    ( Some r.Ipsa.Device.br_port,
-      r.Ipsa.Device.br_meta,
-      Net.Packet.contents pkt,
-      ( r.Ipsa.Device.br_cycles,
-        r.Ipsa.Device.br_lookups,
-        r.Ipsa.Device.br_parse_attempts ) )
-  | _ -> (None, [], Net.Packet.contents pkt, (0, 0, 0))
-
-(* Same observable, via the compiled decision diagram. *)
-let observe_fdd device bytes ~in_port : observation =
-  let pkt = Net.Packet.create ~in_port bytes in
-  match Ipsa.Device.inject_batch_fdd device [| pkt |] with
   | [| Some r |] ->
     ( Some r.Ipsa.Device.br_port,
       r.Ipsa.Device.br_meta,

@@ -789,6 +789,75 @@ let test_session_protect_gate () =
     | Error errs ->
       Alcotest.failf "commit after unprotect failed: %s" (String.concat "; " errs))
 
+(* The session hands the verifier's symbolic run of the new design to the
+   blast radius instead of executing the design again. Whatever it reuses,
+   the recorded report must equal [Impact.analyze] recomputed from scratch
+   on the same two designs and the tables the update saw. The device's
+   table set is snapshotted first: the patch allocates and frees tables,
+   but never edits the contents of one it keeps. *)
+let test_session_impact_matches_scratch () =
+  let snapshot device =
+    let tbls =
+      List.filter_map
+        (fun n -> Option.map (fun tb -> (n, tb)) (Ipsa.Device.find_table device n))
+        (Ipsa.Device.table_names device)
+    in
+    fun name -> List.assoc_opt name tbls
+  in
+  let expect_scratch what session ~tables ~old_design =
+    let scratch =
+      Analysis.Impact.analyze ~tables ~old_tables:tables ~old_design
+        ~design:(Controller.Session.design session) ()
+    in
+    match Controller.Session.last_impact session with
+    | None -> Alcotest.failf "%s: no impact recorded" what
+    | Some rep ->
+      if rep <> scratch then
+        Alcotest.failf "%s: session impact differs from a fresh analysis:\n%s\nvs\n%s"
+          what (Analysis.Impact.summary rep) (Analysis.Impact.summary scratch)
+  in
+  let update what session device run =
+    let tables = snapshot device in
+    let old_design = Controller.Session.design session in
+    run ();
+    expect_scratch what session ~tables ~old_design
+  in
+  let ok what = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  (* commit, once per use case *)
+  List.iter
+    (fun c ->
+      let session, device = Harness.Cases.boot_base () in
+      let name = Harness.Paper.case_name c in
+      update (name ^ " commit") session device (fun () ->
+          ok name (Controller.Session.run_script session (Harness.Cases.script_of c)));
+      (* C3 populated, then taken out again: the unload path *)
+      if c = Harness.Paper.C3 then begin
+        ok name (Controller.Session.run_script session (Harness.Cases.population_of c));
+        update "C3 unload" session device (fun () ->
+            match Controller.Session.unload session ~func_name:"flow_probe" with
+            | Ok _ -> ()
+            | Error errs -> Alcotest.failf "unload: %s" (String.concat "; " errs))
+      end)
+    [ Harness.Paper.C1; Harness.Paper.C2; Harness.Paper.C3 ];
+  (* prepare, then apply: the report is the one [prepare] computed *)
+  let session, device = Harness.Cases.boot_base () in
+  update "C1 prepare" session device (fun () ->
+      let staged =
+        List.filter
+          (function Controller.Command.Commit -> false | _ -> true)
+          (Controller.Command.parse_script (Harness.Cases.script_of Harness.Paper.C1))
+      in
+      List.iter (fun cmd -> ok "stage" (Controller.Session.exec session cmd)) staged;
+      match Controller.Session.prepare session with
+      | Error errs -> Alcotest.failf "prepare: %s" (String.concat "; " errs)
+      | Ok prepared -> (
+        match Controller.Session.apply_prepared session prepared with
+        | Ok _ -> ()
+        | Error errs -> Alcotest.failf "apply: %s" (String.concat "; " errs)))
+
 (* --- flat-path prediction vs. the device's linker ------------------------ *)
 
 (* bit<64> arithmetic is outside the flat subset: the analyzer must
@@ -967,6 +1036,8 @@ let () =
           Alcotest.test_case "ecmp radius is bounded" `Quick test_impact_ecmp_bounded;
           Alcotest.test_case "protected prefix refuses the patch" `Quick
             test_session_protect_gate;
+          Alcotest.test_case "session impact = from-scratch analysis" `Quick
+            test_session_impact_matches_scratch;
         ] );
       ( "flat-prediction",
         [

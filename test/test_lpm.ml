@@ -155,7 +155,16 @@ let test_nested_tie_breaking () =
   Alcotest.(check bool) "remove /24" true (Lpm.remove t ~prefix:(v4 "10.1.2.0") ~plen:24);
   Alcotest.(check (option string)) "fallback" (Some "/16") (Lpm.lookup t (v4 "10.1.2.3"));
   Alcotest.(check bool) "remove absent" false (Lpm.remove t ~prefix:(v4 "10.1.2.0") ~plen:24);
-  Alcotest.(check int) "count" 3 (Lpm.count t)
+  Alcotest.(check int) "count" 3 (Lpm.count t);
+  (* Without the default route, addresses outside 10/8 go unrouted. *)
+  Alcotest.(check bool) "remove /0" true (Lpm.remove t ~prefix:(v4 "0.0.0.0") ~plen:0);
+  Alcotest.(check (option string)) "no default" None (Lpm.lookup t (v4 "11.0.0.1"));
+  Alcotest.(check (option string)) "10/8 intact" (Some "/8") (Lpm.lookup t (v4 "10.9.9.9"));
+  (* A lone /0 matches every key. *)
+  let d = Lpm.create ~width:32 in
+  Lpm.insert d ~prefix:(v4 "0.0.0.0") ~plen:0 "/0";
+  Alcotest.(check (option string)) "lone default" (Some "/0")
+    (Lpm.lookup d (v4 "222.173.190.239"))
 
 let test_replace_and_iter () =
   let t = Lpm.create ~width:32 in

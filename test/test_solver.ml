@@ -1,6 +1,5 @@
-(* Tests for the 0-1 ILP branch-and-bound solver and the set-packing
-   front end — including optimality checks against brute force on random
-   small instances. *)
+(* Tests for the 0-1 ILP branch-and-bound solver — including optimality
+   checks against brute force on random small instances. *)
 
 let check = Alcotest.check
 
@@ -91,39 +90,6 @@ let test_ilp_node_budget () =
     (Solver.Ilp.feasible p sol.Solver.Ilp.assignment);
   check Alcotest.bool "not proved optimal" false sol.Solver.Ilp.optimal
 
-(* --- set packing ------------------------------------------------------------ *)
-
-let test_setpack_basic () =
-  (* two tables, three placement options; options 0 and 1 share a block *)
-  let options =
-    [|
-      { Solver.Setpack.opt_table = 0; opt_resources = [ 0; 1 ]; opt_weight = 5.0 };
-      { Solver.Setpack.opt_table = 1; opt_resources = [ 1; 2 ]; opt_weight = 5.0 };
-      { Solver.Setpack.opt_table = 1; opt_resources = [ 3 ]; opt_weight = 4.0 };
-    |]
-  in
-  let r = Solver.Setpack.solve ~n_tables:2 ~n_resources:4 options in
-  check (Alcotest.float 0.001) "best packing" 9.0 r.Solver.Setpack.weight;
-  check Alcotest.bool "chose disjoint options" true
-    (List.sort compare r.Solver.Setpack.chosen = [ 0; 2 ])
-
-let test_setpack_one_option_per_table () =
-  let options =
-    [|
-      { Solver.Setpack.opt_table = 0; opt_resources = [ 0 ]; opt_weight = 1.0 };
-      { Solver.Setpack.opt_table = 0; opt_resources = [ 1 ]; opt_weight = 2.0 };
-    |]
-  in
-  let r = Solver.Setpack.solve ~n_tables:1 ~n_resources:2 options in
-  check Alcotest.int "single choice" 1 (List.length r.Solver.Setpack.chosen);
-  check (Alcotest.float 0.001) "picked heavier" 2.0 r.Solver.Setpack.weight
-
-let test_setpack_validation () =
-  let bad = [| { Solver.Setpack.opt_table = 5; opt_resources = []; opt_weight = 1.0 } |] in
-  match Solver.Setpack.solve ~n_tables:2 ~n_resources:1 bad with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad table index should fail"
-
 let () =
   Alcotest.run "solver"
     [
@@ -137,11 +103,5 @@ let () =
           Alcotest.test_case "greedy feasible" `Quick test_greedy_feasible;
           Alcotest.test_case "node budget" `Quick test_ilp_node_budget;
           QCheck_alcotest.to_alcotest prop_ilp_optimal;
-        ] );
-      ( "setpack",
-        [
-          Alcotest.test_case "basic" `Quick test_setpack_basic;
-          Alcotest.test_case "one option per table" `Quick test_setpack_one_option_per_table;
-          Alcotest.test_case "validation" `Quick test_setpack_validation;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the match-table library: LPM trie, TCAM, and the unified
-   table with its four engines (exact / lpm / ternary / hash), checked
+(* Tests for the match-table library: TCAM and the unified table with
+   its four engines (exact / lpm / ternary / hash), checked
    against naive reference implementations with property tests. *)
 
 module B = Net.Bits
@@ -7,85 +7,7 @@ module K = Table.Key
 
 let check = Alcotest.check
 
-(* --- LPM trie ----------------------------------------------------------- *)
-
 let ip v = B.of_int ~width:32 v
-
-let test_lpm_basic () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A000000) ~plen:8 "10/8";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010000) ~plen:16 "10.1/16";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010200) ~plen:24 "10.1.2/24";
-  check (Alcotest.option Alcotest.string) "most specific wins" (Some "10.1.2/24")
-    (Table.Lpm_trie.lookup t (ip 0x0A010203));
-  check (Alcotest.option Alcotest.string) "middle prefix" (Some "10.1/16")
-    (Table.Lpm_trie.lookup t (ip 0x0A01FF00));
-  check (Alcotest.option Alcotest.string) "short prefix" (Some "10/8")
-    (Table.Lpm_trie.lookup t (ip 0x0AFFFFFF));
-  check (Alcotest.option Alcotest.string) "miss" None
-    (Table.Lpm_trie.lookup t (ip 0x0B000000))
-
-let test_lpm_default_route () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0) ~plen:0 "default";
-  check (Alcotest.option Alcotest.string) "plen 0 matches all" (Some "default")
-    (Table.Lpm_trie.lookup t (ip 0xDEADBEEF))
-
-let test_lpm_remove_and_prune () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A000000) ~plen:8 "a";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010000) ~plen:16 "b";
-  check Alcotest.int "count" 2 (Table.Lpm_trie.count t);
-  check Alcotest.bool "remove hits" true (Table.Lpm_trie.remove t ~prefix:(ip 0x0A010000) ~plen:16);
-  check Alcotest.bool "remove idempotent" false
-    (Table.Lpm_trie.remove t ~prefix:(ip 0x0A010000) ~plen:16);
-  check Alcotest.int "count after" 1 (Table.Lpm_trie.count t);
-  check (Alcotest.option Alcotest.string) "fallback after remove" (Some "a")
-    (Table.Lpm_trie.lookup t (ip 0x0A010203))
-
-(* naive reference LPM *)
-let naive_lpm entries key =
-  List.fold_left
-    (fun best (prefix, plen, v) ->
-      let matches =
-        plen = 0
-        || B.equal (B.slice prefix ~off:0 ~len:plen) (B.slice key ~off:0 ~len:plen)
-      in
-      match (matches, best) with
-      | false, _ -> best
-      | true, Some (bl, _) when bl >= plen -> best
-      | true, _ -> Some (plen, v))
-    None entries
-  |> Option.map snd
-
-let prop_lpm_vs_naive =
-  QCheck.Test.make ~count:200 ~name:"lpm trie = naive reference"
-    QCheck.(pair (small_list (pair (int_range 0 0xFFFFFF) (int_range 0 24))) (int_range 0 0xFFFFFF))
-    (fun (raw_entries, raw_key) ->
-      let t = Table.Lpm_trie.create () in
-      let entries =
-        List.mapi
-          (fun i (v, plen) ->
-            let prefix = B.of_int ~width:24 v in
-            (prefix, plen, i))
-          raw_entries
-      in
-      (* deduplicate by (prefix bits, plen): trie replaces, naive must too *)
-      let seen = Hashtbl.create 8 in
-      let entries =
-        List.filter
-          (fun (p, plen, _) ->
-            let k = (B.to_hex (B.slice p ~off:0 ~len:plen), plen) in
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              true
-            end)
-          entries
-      in
-      List.iter (fun (p, plen, v) -> Table.Lpm_trie.insert t ~prefix:p ~plen v) entries;
-      let key = B.of_int ~width:24 raw_key in
-      Table.Lpm_trie.lookup t key = naive_lpm entries key)
 
 (* --- TCAM ---------------------------------------------------------------- *)
 
@@ -324,13 +246,6 @@ let test_stats () =
 let () =
   Alcotest.run "table"
     [
-      ( "lpm-trie",
-        [
-          Alcotest.test_case "basic" `Quick test_lpm_basic;
-          Alcotest.test_case "default route" `Quick test_lpm_default_route;
-          Alcotest.test_case "remove/prune" `Quick test_lpm_remove_and_prune;
-          QCheck_alcotest.to_alcotest prop_lpm_vs_naive;
-        ] );
       ( "tcam",
         [
           Alcotest.test_case "priority" `Quick test_tcam_priority;
